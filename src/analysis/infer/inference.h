@@ -28,6 +28,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -116,20 +117,30 @@ struct InferredProps {
   std::string ToString() const;
 };
 
-/// Memoizing bottom-up derivation over one immutable plan tree. Results are
-/// cached by node id; use a fresh engine per plan version (rewrites keep
-/// node ids across WithChildren, so caches must not span rewrites).
+/// Memoizing bottom-up derivation. Results are cached by node *identity*
+/// (the node's address, with the node pinned so the address cannot be
+/// reused), never by id(): WithChildren keeps the id while replacing the
+/// children, so an id-keyed entry could describe a different subtree. Plan
+/// nodes are immutable, so one engine may span any number of plan versions
+/// (the optimizer keeps one per OptimizeChecked call, see PropsCache).
+/// Returned references stay valid for the engine's lifetime.
 class InferenceEngine {
  public:
   explicit InferenceEngine(InferOptions options = {});
   const InferredProps& Infer(const PlanRef& plan);
   const InferOptions& options() const { return options_; }
+  /// Number of distinct nodes derived so far.
+  size_t size() const { return cache_.size(); }
 
  private:
+  struct Entry {
+    PlanRef node;  // pins the key's address
+    InferredProps props;
+  };
   InferredProps Compute(const PlanRef& plan);
 
   InferOptions options_;
-  std::map<uint64_t, InferredProps> cache_;
+  std::unordered_map<const LogicalOp*, Entry> cache_;
 };
 
 // ---------------------------------------------------------------------------

@@ -13,15 +13,17 @@
 //      through projections/filters/joins back to base-table statistics.
 //
 // The estimator is deliberately stateless across plans except for a
-// per-node memo keyed by LogicalOp::id(); build one per catalog version.
+// per-node memo keyed by node identity (as InferenceEngine's); build one
+// per catalog version. The join reorderer hands it the optimization's
+// shared InferenceEngine (optimizer/properties.h PropsCache).
 #ifndef VDMQO_ANALYSIS_STATS_CARDINALITY_H_
 #define VDMQO_ANALYSIS_STATS_CARDINALITY_H_
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/infer/inference.h"
@@ -32,12 +34,6 @@
 namespace vdm {
 
 struct CardinalityOptions {
-  /// Consult the static inference lattice for unique-key / at-most-one-row
-  /// facts. Costs one inference walk per plan; worth it for join ordering,
-  /// skippable for the per-query executor annotations.
-  bool use_inference = true;
-  /// Capability gates for the lattice walk (mirror the optimizer profile).
-  InferOptions infer;
   /// Trust §7.3 declared to-one cardinalities as exact priors.
   bool trust_declared_cardinality = true;
   /// Rows assumed for a table that was never analyzed.
@@ -75,11 +71,14 @@ double EstimateEquiJoinRows(double left_rows, double right_rows,
 
 class CardinalityEstimator {
  public:
-  explicit CardinalityEstimator(const Catalog* catalog,
-                                CardinalityOptions options = {});
-  ~CardinalityEstimator();
+  /// Unique-key / at-most-one-row facts come from the static inference
+  /// lattice of `engine` (not owned; its InferOptions mirror the optimizer
+  /// profile). nullptr skips the lattice: no inference walk, as the
+  /// per-query executor annotations want.
+  CardinalityEstimator(const Catalog* catalog, CardinalityOptions options,
+                       InferenceEngine* engine);
 
-  /// Estimated output rows of `plan` (memoized by node id).
+  /// Estimated output rows of `plan` (memoized per node).
   double EstimateRows(const PlanRef& plan);
 
   /// Fills per-node row/cost estimates for the whole tree and returns the
@@ -95,7 +94,7 @@ class CardinalityEstimator {
                                               const std::string& name);
 
   /// True when `columns` cover a unique key of `plan`'s output (inference
-  /// lattice). Always false when use_inference is off.
+  /// lattice). Always false without an engine.
   bool UniqueOn(const PlanRef& plan, const std::set<std::string>& columns);
 
   /// Estimated selectivity of `predicate` over `input`'s output, in [0,1].
@@ -116,10 +115,15 @@ class CardinalityEstimator {
   double SelectivityOf(const ExprRef& expr, const NodeInfo& input) const;
   double AnnotateNode(const PlanRef& plan, PlanEstimates* out);
 
+  struct Entry {
+    PlanRef node;  // pins the key's address
+    NodeInfo info;
+  };
+
   const Catalog* catalog_;
   CardinalityOptions options_;
-  std::unique_ptr<InferenceEngine> engine_;
-  std::map<uint64_t, NodeInfo> cache_;
+  InferenceEngine* engine_;
+  std::unordered_map<const LogicalOp*, Entry> cache_;
 };
 
 }  // namespace vdm

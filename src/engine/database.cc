@@ -6,6 +6,15 @@
 #include <algorithm>
 #include <thread>
 
+// Sanitizer runtimes replace malloc, so glibc's arenas hold nothing to
+// trim; worse, the first malloc_trim calls then initialize those arenas
+// from several threads at once, which aborts at thread exit.
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+#define VDM_MALLOC_TRIM 1
+#include <malloc.h>
+#endif
+
 #include "analysis/plan_verifier.h"
 #include "analysis/rewrite_auditor.h"
 #include "analysis/stats/cardinality.h"
@@ -885,6 +894,15 @@ Status Database::MergeTableMvcc(const std::string& table) {
   // the table's statistics (which also bumps its data version, retiring
   // cached plans compiled against the pre-merge state).
   RefreshTableStats(table);
+#if defined(VDM_MALLOC_TRIM)
+  // Frees from many threads leave free pages resident in glibc's
+  // per-thread arenas until trimmed. Merges are where the large frees
+  // happen: superseded versions whose last reader has let go (a version a
+  // reader still pins is returned at a later merge). Returning the slack
+  // here keeps peak RSS near the live data while readers and writers
+  // allocate (measured on the journal_htap workload).
+  malloc_trim(0);
+#endif
   return Status::OK();
 }
 
@@ -938,9 +956,8 @@ Result<Chunk> Database::ExecutePlan(const PlanRef& plan, ExecMetrics* metrics,
     // thread count automatic, small plans skip the pool — morsel fan-out
     // overhead exceeds the estimated work. Results are byte-identical
     // either way. An explicit num_threads setting is always honored.
-    CardinalityOptions copt;
-    copt.use_inference = false;
-    CardinalityEstimator estimator(&catalog_, copt);
+    CardinalityEstimator estimator(&catalog_, CardinalityOptions{},
+                                   /*engine=*/nullptr);
     PlanEstimates estimates;
     if (estimator.Annotate(plan, &estimates).cost < kSerialCostThreshold) {
       threads = 1;
@@ -992,9 +1009,8 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql) {
   // timings below.
   PlanEstimates estimates;
   {
-    CardinalityOptions copt;
-    copt.use_inference = false;
-    CardinalityEstimator estimator(&catalog_, copt);
+    CardinalityEstimator estimator(&catalog_, CardinalityOptions{},
+                                   /*engine=*/nullptr);
     estimator.Annotate(plan, &estimates);
   }
   std::string out = PrintPlan(plan, &estimates);

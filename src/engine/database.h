@@ -40,10 +40,6 @@
 
 namespace vdm {
 
-/// Per-query time breakdown (nanoseconds). Populated by Query() when a
-/// timing sink is passed; rendered by ExplainAnalyze() and the benchmark
-/// JSON reports. On a plan-cache hit, parse/bind/optimize are zero and
-/// rebind_ns carries the parameter-rebinding cost.
 /// Per-query resource limits — the query lifecycle governor's contract.
 /// Zero or negative fields disable that limit. Database's session defaults
 /// come from the environment at construction: VDM_TIMEOUT_MS,
@@ -91,6 +87,10 @@ struct PreparedStatement {
   bool parameterized_ok = false;
 };
 
+/// Per-query time breakdown (nanoseconds). Populated by Query() when a
+/// timing sink is passed; rendered by ExplainAnalyze() and the benchmark
+/// JSON reports. On a plan-cache hit, parse/bind/optimize are zero and
+/// rebind_ns carries the parameter-rebinding cost.
 struct QueryTiming {
   int64_t parameterize_ns = 0;
   int64_t parse_ns = 0;

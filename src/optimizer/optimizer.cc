@@ -132,7 +132,8 @@ PlanRef Optimizer::Optimize(const PlanRef& plan) const {
 }
 
 Result<PlanRef> Optimizer::OptimizeChecked(const PlanRef& plan) const {
-  using PassFn = PlanRef (*)(const PlanRef&, const OptimizerConfig&, bool*);
+  using PassFn = PlanRef (*)(const PlanRef&, const OptimizerConfig&,
+                             PropsCache&, bool*);
   struct PassDef {
     const char* name;
     bool enabled;
@@ -144,8 +145,16 @@ Result<PlanRef> Optimizer::OptimizeChecked(const PlanRef& plan) const {
   // rewrites actually produce (and so filter pushdown cannot re-split the
   // conjuncts the reorderer grouped).
   const PassDef passes[] = {
-      {"constant_folding", config_.constant_folding, &PassConstantFolding},
-      {"filter_pushdown", config_.filter_pushdown, &PassFilterPushdown},
+      {"constant_folding", config_.constant_folding,
+       [](const PlanRef& plan, const OptimizerConfig& config, PropsCache&,
+          bool* changed) {
+         return PassConstantFolding(plan, config, changed);
+       }},
+      {"filter_pushdown", config_.filter_pushdown,
+       [](const PlanRef& plan, const OptimizerConfig& config, PropsCache&,
+          bool* changed) {
+         return PassFilterPushdown(plan, config, changed);
+       }},
       {"aggregate_pushdown",
        config_.allow_precision_loss_rewrites || config_.agg_pushdown,
        &PassAggregatePushdown},
@@ -160,13 +169,18 @@ Result<PlanRef> Optimizer::OptimizeChecked(const PlanRef& plan) const {
   };
   const bool verify =
       config_.verify_rewrites && config_.verification_hook != nullptr;
+  // Every pass derives properties through this one cache, so each plan
+  // node's properties are derived at most once per call. It dies with the
+  // call; the verification hook never sees it (the auditor derives its
+  // own, independently).
+  PropsCache props(config_.derivation);
   // Post-fixpoint finishing step: cost-based join ordering (once, audited
   // like any pass), then the limit-hint annotation.
   auto finish = [&](PlanRef done) -> Result<PlanRef> {
     if (config_.join_reordering) {
       bool fired = false;
       PlanRef before = done;
-      done = PassJoinOrder(done, config_, &fired);
+      done = PassJoinOrder(done, config_, props, &fired);
       if (fired) {
         if (config_.debug_corrupt_pass != nullptr &&
             std::string_view(config_.debug_corrupt_pass) == "join_order") {
@@ -193,7 +207,7 @@ Result<PlanRef> Optimizer::OptimizeChecked(const PlanRef& plan) const {
       if (!def.enabled) continue;
       bool fired = false;
       PlanRef before = current;
-      current = def.fn(current, config_, &fired);
+      current = def.fn(current, config_, props, &fired);
       if (!fired) continue;
       changed = true;
       if (config_.debug_corrupt_pass != nullptr &&

@@ -12,6 +12,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/infer/inference.h"
@@ -79,10 +80,6 @@ struct RelProps {
   std::string ToString() const;
 };
 
-/// Derives properties bottom-up. Results are not cached across calls; plans
-/// here are small enough that recomputation is cheap and always consistent.
-RelProps DeriveProps(const PlanRef& plan, const DerivationConfig& config);
-
 /// Join-cardinality analysis of a JoinOp (paper §4.2).
 struct JoinAnalysis {
   /// Every left row matches at most one right row.
@@ -102,6 +99,45 @@ struct JoinAnalysis {
 JoinAnalysis AnalyzeJoin(const JoinOp& join, const RelProps& left_props,
                          const RelProps& right_props,
                          const DerivationConfig& config);
+
+/// Every relational property derived during one optimization: the RelProps
+/// above and the lattice's InferredProps from one shared InferenceEngine,
+/// each derived at most once per plan node. Optimizer::OptimizeChecked
+/// creates one per call and passes it to every pass; callers outside an
+/// optimization (view lint, catalog audit, tests) use a call-local one.
+///
+/// Entries are keyed by node identity and pin their node, for the reason
+/// given at InferenceEngine: id() survives WithChildren, identity does not.
+/// Returned references stay valid for the cache's lifetime.
+class PropsCache {
+ public:
+  explicit PropsCache(const DerivationConfig& config);
+
+  const RelProps& Props(const PlanRef& plan);
+  const InferredProps& Inferred(const PlanRef& plan) {
+    return engine_.Infer(plan);
+  }
+  /// AnalyzeJoin over the cached properties of the join's children.
+  JoinAnalysis Analyze(const JoinOp& join);
+
+  InferenceEngine& engine() { return engine_; }
+  /// Number of distinct nodes with derived RelProps.
+  size_t size() const { return props_.size(); }
+
+ private:
+  struct Entry {
+    PlanRef node;  // pins the key's address
+    RelProps props;
+  };
+  RelProps Compute(const PlanRef& plan);
+
+  DerivationConfig config_;
+  InferenceEngine engine_;
+  std::unordered_map<const LogicalOp*, Entry> props_;
+};
+
+/// Derives the properties of one plan through a call-local PropsCache.
+RelProps DeriveProps(const PlanRef& plan, const DerivationConfig& config);
 
 }  // namespace vdm
 

@@ -22,7 +22,7 @@ bool ContainsNode(const PlanRef& plan, uint64_t id);
 /// through, un-null-extended, from the given source node, rewritten to
 /// bare base-column form (Fig. 10(c) subsumption input).
 void CollectScanPredicates(const PlanRef& plan, uint64_t source_id,
-                           const DerivationConfig& dcfg,
+                           PropsCache& props,
                            std::vector<ExprRef>* out);
 
 struct Exposure {
@@ -35,7 +35,7 @@ struct Exposure {
 /// DISTINCT on the path block exposure.
 std::optional<Exposure> ExposeColumns(const PlanRef& plan, uint64_t source_id,
                                       const std::vector<std::string>& base_cols,
-                                      const DerivationConfig& dcfg);
+                                      PropsCache& props);
 
 }  // namespace vdm
 

@@ -418,7 +418,7 @@ std::vector<size_t> DpOrder(const ChainCtx& ctx, bool* complete) {
 }
 
 PlanRef Reorder(const PlanRef& plan, const OptimizerConfig& config,
-                bool under_limit, bool* changed);
+                PropsCache& props, bool under_limit, bool* changed);
 
 /// Cumulative estimated cost of running the chain in `order` (the same
 /// per-step model Rebuild applies, including inner build-side swaps).
@@ -441,8 +441,7 @@ double OrderCost(const ChainCtx& ctx, const std::vector<size_t>& order) {
 /// attach at the first step where all their references are available — as
 /// the inner join condition, or as a FILTER above an attachment (its ON
 /// condition must stay exactly as declared).
-PlanRef Rebuild(const ChainCtx& ctx, const std::vector<size_t>& order,
-                const std::shared_ptr<const JoinOp>& top) {
+PlanRef Rebuild(const ChainCtx& ctx, const std::vector<size_t>& order) {
   const Chain& chain = *ctx.chain;
   std::vector<bool> conjunct_used(chain.pool.size(), false);
   auto take_covered = [&](const std::set<std::string>& have) {
@@ -520,8 +519,8 @@ std::string TreeSignature(const PlanRef& plan) {
 }
 
 PlanRef ReorderChain(const std::shared_ptr<const JoinOp>& top,
-                     const OptimizerConfig& config, bool under_limit,
-                     bool* changed) {
+                     const OptimizerConfig& config, PropsCache& props,
+                     bool under_limit, bool* changed) {
   Chain chain;
   Flatten(top, &chain);
   if (chain.units.size() < 2) return nullptr;
@@ -531,15 +530,18 @@ PlanRef ReorderChain(const std::shared_ptr<const JoinOp>& top,
   // estimator should see the final unit plans.
   bool units_changed = false;
   for (Unit& unit : chain.units) {
-    PlanRef transformed = Reorder(unit.plan, config, false, &units_changed);
+    PlanRef transformed =
+        Reorder(unit.plan, config, props, false, &units_changed);
     if (transformed != unit.plan) unit.plan = std::move(transformed);
   }
 
+  // The estimator reads lattice facts from the optimization's shared
+  // engine, so nodes the rewrite passes already derived are not re-derived.
   CardinalityOptions card_options;
-  card_options.infer = ToInferOptions(config.derivation);
   card_options.trust_declared_cardinality =
       config.derivation.trust_declared_cardinality;
-  CardinalityEstimator estimator(config.stats_catalog, card_options);
+  CardinalityEstimator estimator(config.stats_catalog, card_options,
+                                 &props.engine());
   ChainCtx ctx;
   ctx.estimator = &estimator;
   ctx.trust_declared = config.derivation.trust_declared_cardinality;
@@ -576,7 +578,7 @@ PlanRef ReorderChain(const std::shared_ptr<const JoinOp>& top,
     }
   }
 
-  PlanRef body = Rebuild(ctx, order, top);
+  PlanRef body = Rebuild(ctx, order);
   // Identity check: a rebuild that reproduces the original tree (same
   // steps, same sides, same conjunct grouping) is discarded so the
   // original nodes — and their ids — survive. Nested-unit changes always
@@ -598,11 +600,11 @@ PlanRef ReorderChain(const std::shared_ptr<const JoinOp>& top,
 }
 
 PlanRef Reorder(const PlanRef& plan, const OptimizerConfig& config,
-                bool under_limit, bool* changed) {
+                PropsCache& props, bool under_limit, bool* changed) {
   if (IsChainRoot(plan)) {
     PlanRef reordered =
         ReorderChain(std::static_pointer_cast<const JoinOp>(plan), config,
-                     under_limit, changed);
+                     props, under_limit, changed);
     return reordered ? reordered : plan;
   }
   const bool propagates_limit = plan->kind() == OpKind::kLimit ||
@@ -613,7 +615,8 @@ PlanRef Reorder(const PlanRef& plan, const OptimizerConfig& config,
   std::vector<PlanRef> children;
   bool any = false;
   for (const PlanRef& child : plan->children()) {
-    PlanRef transformed = Reorder(child, config, child_under_limit, changed);
+    PlanRef transformed =
+        Reorder(child, config, props, child_under_limit, changed);
     any |= (transformed != child);
     children.push_back(std::move(transformed));
   }
@@ -623,9 +626,9 @@ PlanRef Reorder(const PlanRef& plan, const OptimizerConfig& config,
 }  // namespace
 
 PlanRef PassJoinOrder(const PlanRef& plan, const OptimizerConfig& config,
-                      bool* changed) {
+                      PropsCache& props, bool* changed) {
   if (!config.join_reordering) return plan;
-  return Reorder(plan, config, /*under_limit=*/false, changed);
+  return Reorder(plan, config, props, /*under_limit=*/false, changed);
 }
 
 }  // namespace vdm

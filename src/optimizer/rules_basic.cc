@@ -238,11 +238,11 @@ PlanRef PassFilterPushdown(const PlanRef& plan, const OptimizerConfig& config,
 }
 
 PlanRef PassDistinctElimination(const PlanRef& plan,
-                                const OptimizerConfig& config, bool* changed) {
+                                const OptimizerConfig& /*config*/,
+                                PropsCache& props, bool* changed) {
   return TransformPlan(plan, [&](const PlanRef& node) -> PlanRef {
     if (node->kind() != OpKind::kDistinct) return nullptr;
-    RelProps props = DeriveProps(node->child(0), config.derivation);
-    if (props.HasKey(node->child(0)->OutputNames())) {
+    if (props.Props(node->child(0)).HasKey(node->child(0)->OutputNames())) {
       *changed = true;
       return node->child(0);
     }

@@ -122,7 +122,8 @@ TEST(CardinalityEstimatorTest, ScanUsesStatsOrDefault) {
   ASSERT_TRUE(catalog.RegisterTable(Fact()).ok());
   ASSERT_TRUE(catalog.RegisterTable(Dim()).ok());
   catalog.SetTableStats("fact", StatsWith(12345));
-  CardinalityEstimator est(&catalog);
+  InferenceEngine engine;
+  CardinalityEstimator est(&catalog, {}, &engine);
   EXPECT_DOUBLE_EQ(
       est.EstimateRows(PlanBuilder::ScanSchema(Fact(), "f").Build()), 12345.0);
   // Never analyzed: the configured default.
@@ -137,7 +138,8 @@ TEST(CardinalityEstimatorTest, FilterEqualityUsesDistinctCount) {
   // Schema-parallel entries: id, dim_key, amount.
   catalog.SetTableStats(
       "fact", StatsWith(1000, {Entry(1000), Entry(10), Entry(100)}));
-  CardinalityEstimator est(&catalog);
+  InferenceEngine engine;
+  CardinalityEstimator est(&catalog, {}, &engine);
   PlanRef plan = PlanBuilder::ScanSchema(Fact(), "f")
                      .Filter(Eq(Col("f.dim_key"), LitInt(3)))
                      .Build();
@@ -161,7 +163,8 @@ TEST(CardinalityEstimatorTest, JoinPriorityDeclaredThenUniqueThenDistinct) {
                                DeclaredCardinality::kExactOne)
                          .Build();
   {
-    CardinalityEstimator est(&catalog);
+    InferenceEngine engine;
+    CardinalityEstimator est(&catalog, {}, &engine);
     EXPECT_DOUBLE_EQ(est.EstimateRows(declared), 1000.0);
   }
 
@@ -176,14 +179,13 @@ TEST(CardinalityEstimatorTest, JoinPriorityDeclaredThenUniqueThenDistinct) {
                                  Eq(Col("f.dim_key"), Col("d.k")))
                            .Build();
   {
-    CardinalityEstimator est(&catalog);
+    InferenceEngine engine;
+    CardinalityEstimator est(&catalog, {}, &engine);
     // Distinct rule alone: 1000·50/max(10,2) = 5000; unique cap: 1000.
     EXPECT_DOUBLE_EQ(est.EstimateRows(undeclared), 1000.0);
   }
   {
-    CardinalityOptions opts;
-    opts.use_inference = false;
-    CardinalityEstimator est(&catalog, opts);
+    CardinalityEstimator est(&catalog, {}, /*engine=*/nullptr);
     EXPECT_DOUBLE_EQ(est.EstimateRows(undeclared), 5000.0);
   }
 }
@@ -199,7 +201,8 @@ TEST(CardinalityEstimatorTest, AnnotateCoversEveryNodeAndPrints) {
                            JoinType::kInner, Eq(Col("f.dim_key"), Col("d.k")))
                      .Filter(Eq(Col("f.amount"), LitInt(7)))
                      .Build();
-  CardinalityEstimator est(&catalog);
+  InferenceEngine engine;
+  CardinalityEstimator est(&catalog, {}, &engine);
   PlanEstimates estimates;
   PlanEstimate root = est.Annotate(plan, &estimates);
   EXPECT_GT(root.rows, 0.0);
@@ -249,7 +252,8 @@ class StatsDatabaseTest : public ::testing::Test {
   double QError(const std::string& sql) {
     Result<PlanRef> plan = db_.PlanQuery(sql);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-    CardinalityEstimator est(&db_.catalog());
+    InferenceEngine engine;
+    CardinalityEstimator est(&db_.catalog(), {}, &engine);
     const double predicted = est.EstimateRows(*plan);
     Result<Chunk> result = db_.Query(sql);
     EXPECT_TRUE(result.ok()) << result.status().ToString();

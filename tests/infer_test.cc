@@ -229,5 +229,26 @@ TEST_F(InferTest, NullRejectedColumnsThreeValuedLogic) {
                   .empty());
 }
 
+// The engine memoizes by node identity: a node rebuilt by WithChildren
+// keeps its id, but must not be served the facts of its old subtree.
+TEST_F(InferTest, CacheKeyedByNodeIdentityNotId) {
+  // t2's key is (a, b); the filter pins b, leaving a unique.
+  PlanRef pinned = Bind("select a, c from t2 where b = 1");
+  ASSERT_NE(pinned, nullptr);
+  ASSERT_EQ(pinned->kind(), OpKind::kProject);
+  ASSERT_EQ(pinned->child(0)->kind(), OpKind::kFilter);
+  PlanRef unpinned = pinned->WithChildren({pinned->child(0)->child(0)});
+  ASSERT_EQ(unpinned->id(), pinned->id());
+  const std::string a = pinned->OutputNames()[0];
+
+  InferenceEngine engine;
+  EXPECT_TRUE(engine.Infer(pinned).UniqueOn({a}));
+  EXPECT_FALSE(engine.Infer(unpinned).UniqueOn({a}));
+  EXPECT_EQ(engine.Infer(unpinned).ToString(),
+            InferenceEngine().Infer(unpinned).ToString());
+  // Both versions of the root, one filter and one shared scan.
+  EXPECT_EQ(engine.size(), 4u);
+}
+
 }  // namespace
 }  // namespace vdm

@@ -33,6 +33,16 @@ TableSchema Dim() {
 
 OptimizerConfig Full() { return ConfigForProfile(SystemProfile::kHana); }
 
+using PropsPass = PlanRef (*)(const PlanRef&, const OptimizerConfig&,
+                              PropsCache&, bool*);
+
+/// Runs one property-deriving pass on its own, with a call-local cache.
+PlanRef RunPass(PropsPass pass, const PlanRef& plan,
+                const OptimizerConfig& config, bool* changed) {
+  PropsCache props(config.derivation);
+  return pass(plan, config, props, changed);
+}
+
 // --- filter pushdown --------------------------------------------------------
 
 TEST(FilterPushdownTest, SplitsAcrossInnerJoin) {
@@ -148,7 +158,7 @@ TEST(PruneTest, ScansNarrowedToRequiredColumns) {
                      .ProjectColumns({"f.id"}, {"id"})
                      .Build();
   bool changed = false;
-  PlanRef result = PassPruneAndEliminate(plan, Full(), &changed);
+  PlanRef result = RunPass(&PassPruneAndEliminate, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   const auto& scan = static_cast<const ScanOp&>(*result->child(0));
   EXPECT_EQ(scan.column_indexes().size(), 1u);
@@ -157,7 +167,7 @@ TEST(PruneTest, ScansNarrowedToRequiredColumns) {
 TEST(PruneTest, RootOutputsPreserved) {
   PlanRef plan = PlanBuilder::ScanSchema(Fact(), "f").Build();
   bool changed = false;
-  PlanRef result = PassPruneAndEliminate(plan, Full(), &changed);
+  PlanRef result = RunPass(&PassPruneAndEliminate, plan, Full(), &changed);
   // Root arity is not flexible: nothing may be pruned.
   EXPECT_EQ(result->OutputNames().size(), 4u);
 }
@@ -171,7 +181,7 @@ TEST(PruneTest, UajEliminationRequiresPurelyAugmenting) {
           .ProjectColumns({"f.id"}, {"id"})
           .Build();
   bool changed = false;
-  PlanRef result = PassPruneAndEliminate(removable, Full(), &changed);
+  PlanRef result = RunPass(&PassPruneAndEliminate, removable, Full(), &changed);
   EXPECT_EQ(ComputePlanStats(result).joins, 0u);
   // Same join as INNER (no FK): kept even though unused.
   PlanRef kept =
@@ -181,7 +191,7 @@ TEST(PruneTest, UajEliminationRequiresPurelyAugmenting) {
           .ProjectColumns({"f.id"}, {"id"})
           .Build();
   changed = false;
-  result = PassPruneAndEliminate(kept, Full(), &changed);
+  result = RunPass(&PassPruneAndEliminate, kept, Full(), &changed);
   EXPECT_EQ(ComputePlanStats(result).joins, 1u);
 }
 
@@ -195,7 +205,7 @@ TEST(PruneTest, StackedUajsAllRemoved) {
   }
   PlanRef built = plan.ProjectColumns({"f.id"}, {"id"}).Build();
   bool changed = false;
-  PlanRef result = PassPruneAndEliminate(built, Full(), &changed);
+  PlanRef result = RunPass(&PassPruneAndEliminate, built, Full(), &changed);
   EXPECT_EQ(ComputePlanStats(result).joins, 0u) << PrintPlan(result);
 }
 
@@ -208,7 +218,7 @@ TEST(PruneTest, UnusedAggregateItemsDropped) {
           .ProjectColumns({"st", "n"}, {"st", "n"})
           .Build();
   bool changed = false;
-  PlanRef result = PassPruneAndEliminate(plan, Full(), &changed);
+  PlanRef result = RunPass(&PassPruneAndEliminate, plan, Full(), &changed);
   const auto& agg = static_cast<const AggregateOp&>(*result->child(0));
   ASSERT_EQ(agg.aggregates().size(), 1u);
   EXPECT_EQ(agg.aggregates()[0].name, "n");
@@ -225,7 +235,7 @@ TEST(LimitPushdownTest, SinksThroughProjectAndAugmentingJoins) {
           .Limit(10, 5)
           .Build();
   bool changed = false;
-  PlanRef result = PassLimitPushdown(plan, Full(), &changed);
+  PlanRef result = RunPass(&PassLimitPushdown, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   // Limit lands directly above the fact scan.
   ASSERT_EQ(result->kind(), OpKind::kProject);
@@ -245,7 +255,7 @@ TEST(LimitPushdownTest, DoesNotSinkPastNonAugmentingJoin) {
           .Limit(10)
           .Build();
   bool changed = false;
-  PlanRef result = PassLimitPushdown(plan, Full(), &changed);
+  PlanRef result = RunPass(&PassLimitPushdown, plan, Full(), &changed);
   EXPECT_EQ(result->kind(), OpKind::kLimit);
 }
 
@@ -257,7 +267,7 @@ TEST(LimitPushdownTest, DistributesOverUnionAll) {
   PlanRef plan =
       PlanBuilder::UnionAll({c1, c2}, {"id"}).Limit(10, 3).Build();
   bool changed = false;
-  PlanRef result = PassLimitPushdown(plan, Full(), &changed);
+  PlanRef result = RunPass(&PassLimitPushdown, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   ASSERT_EQ(result->kind(), OpKind::kLimit);  // outer limit remains
   ASSERT_EQ(result->child(0)->kind(), OpKind::kUnionAll);
@@ -275,7 +285,7 @@ TEST(LimitPushdownTest, DistributesOverUnionAll) {
   }
   // Idempotent: a second application changes nothing.
   bool changed_again = false;
-  PassLimitPushdown(result, Full(), &changed_again);
+  RunPass(&PassLimitPushdown, result, Full(), &changed_again);
   EXPECT_FALSE(changed_again);
 }
 
@@ -287,7 +297,7 @@ TEST(LimitPushdownTest, GatedByProfile) {
           .Limit(10)
           .Build();
   bool changed = false;
-  PlanRef result = PassLimitPushdown(
+  PlanRef result = RunPass(&PassLimitPushdown, 
       plan, ConfigForProfile(SystemProfile::kPostgres), &changed);
   EXPECT_FALSE(changed);
   EXPECT_EQ(result, plan);
@@ -301,7 +311,7 @@ TEST(DistinctEliminationTest, DropsWhenInputUnique) {
                        .Distinct()
                        .Build();
   bool changed = false;
-  PlanRef result = PassDistinctElimination(unique, Full(), &changed);
+  PlanRef result = RunPass(&PassDistinctElimination, unique, Full(), &changed);
   EXPECT_TRUE(changed);
   EXPECT_EQ(ComputePlanStats(result).distincts, 0u);
 
@@ -310,7 +320,7 @@ TEST(DistinctEliminationTest, DropsWhenInputUnique) {
                            .Distinct()
                            .Build();
   changed = false;
-  result = PassDistinctElimination(not_unique, Full(), &changed);
+  result = RunPass(&PassDistinctElimination, not_unique, Full(), &changed);
   EXPECT_FALSE(changed);
   EXPECT_EQ(ComputePlanStats(result).distincts, 1u);
 }
@@ -327,7 +337,7 @@ TEST(AsjTest, SelfJoinOnKeyRewired) {
                            Eq(Col("id"), Col("e.id")))
                      .Build();
   bool changed = false;
-  PlanRef result = PassAsjElimination(plan, Full(), &changed);
+  PlanRef result = RunPass(&PassAsjElimination, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   EXPECT_EQ(ComputePlanStats(result).joins, 0u) << PrintPlan(result);
   EXPECT_EQ(ComputePlanStats(result).table_instances, 1u);
@@ -348,7 +358,7 @@ TEST(AsjTest, SubsumptionRequired) {
                            Eq(Col("id"), Col("e.id")))
                      .Build();
   bool changed = false;
-  PassAsjElimination(plan, Full(), &changed);
+  RunPass(&PassAsjElimination, plan, Full(), &changed);
   EXPECT_FALSE(changed);
 
   // Matching restriction: removable.
@@ -362,7 +372,7 @@ TEST(AsjTest, SubsumptionRequired) {
                             Eq(Col("id"), Col("e.id")))
                       .Build();
   changed = false;
-  PlanRef result = PassAsjElimination(plan2, Full(), &changed);
+  PlanRef result = RunPass(&PassAsjElimination, plan2, Full(), &changed);
   EXPECT_TRUE(changed) << PrintPlan(plan2);
   EXPECT_EQ(ComputePlanStats(result).joins, 0u);
 }
@@ -378,7 +388,7 @@ TEST(AsjTest, AggregateInAnchorBlocksExposure) {
                            Eq(Col("dk"), Col("e.k")))
                      .Build();
   bool changed = false;
-  PassAsjElimination(plan, Full(), &changed);
+  RunPass(&PassAsjElimination, plan, Full(), &changed);
   // Not a self join at all (different tables) — must stay.
   EXPECT_FALSE(changed);
 }
@@ -398,7 +408,7 @@ TEST(AsjTest, UnionAnchorFig13a) {
                            Eq(Col("id"), Col("e.id")))
                      .Build();
   bool changed = false;
-  PlanRef result = PassAsjElimination(plan, Full(), &changed);
+  PlanRef result = RunPass(&PassAsjElimination, plan, Full(), &changed);
   EXPECT_TRUE(changed) << PrintPlan(plan);
   EXPECT_EQ(ComputePlanStats(result).joins, 0u) << PrintPlan(result);
   // Both branch scans remain; the augmenter scan is gone.
@@ -420,7 +430,7 @@ TEST(AsjTest, UnionAnchorGatedByConfig) {
   OptimizerConfig config = Full();
   config.asj_union_all_anchor = false;
   bool changed = false;
-  PassAsjElimination(plan, config, &changed);
+  RunPass(&PassAsjElimination, plan, config, &changed);
   EXPECT_FALSE(changed);
 }
 
@@ -467,7 +477,7 @@ TEST(AsjTest, CaseJoinFig13bCanonical) {
                 DeclaredCardinality::kNone, /*case_join=*/true)
           .Build();
   bool changed = false;
-  PlanRef result = PassAsjElimination(with_intent, Full(), &changed);
+  PlanRef result = RunPass(&PassAsjElimination, with_intent, Full(), &changed);
   EXPECT_TRUE(changed) << PrintPlan(with_intent);
   PlanStats stats = ComputePlanStats(result);
   EXPECT_EQ(stats.joins, 0u) << PrintPlan(result);
@@ -483,7 +493,7 @@ TEST(AsjTest, CaseJoinFig13bCanonical) {
                 DeclaredCardinality::kNone, /*case_join=*/false)
           .Build();
   changed = false;
-  PassAsjElimination(without_intent, Full(), &changed);
+  RunPass(&PassAsjElimination, without_intent, Full(), &changed);
   EXPECT_FALSE(changed);
 }
 
@@ -498,7 +508,7 @@ TEST(AggMergeTest, SumOverSumMergesUnconditionally) {
                      {{Agg(AggKind::kSum, Col("subtotal")), "total"}})
           .Build();
   bool changed = false;
-  PlanRef result = PassAggregatePushdown(plan, Full(), &changed);
+  PlanRef result = RunPass(&PassAggregatePushdown, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   EXPECT_EQ(ComputePlanStats(result).aggregates, 1u) << PrintPlan(result);
 }
@@ -516,10 +526,12 @@ TEST(AggMergeTest, RoundBetweenLevelsNeedsOptIn) {
         .Build();
   };
   bool changed = false;
-  PlanRef strict = PassAggregatePushdown(build(false), Full(), &changed);
+  PlanRef strict =
+      RunPass(&PassAggregatePushdown, build(false), Full(), &changed);
   EXPECT_EQ(ComputePlanStats(strict).aggregates, 2u);
   changed = false;
-  PlanRef relaxed = PassAggregatePushdown(build(true), Full(), &changed);
+  PlanRef relaxed =
+      RunPass(&PassAggregatePushdown, build(true), Full(), &changed);
   EXPECT_TRUE(changed);
   EXPECT_EQ(ComputePlanStats(relaxed).aggregates, 1u) << PrintPlan(relaxed);
 }
@@ -533,14 +545,14 @@ TEST(EagerAggregationTest, SplitsBelowAugmentingJoin) {
                      {{Agg(AggKind::kSum, Col("f.amount")), "total"}})
           .Build();
   bool changed = false;
-  PlanRef result = PassAggregatePushdown(plan, Full(), &changed);
+  PlanRef result = RunPass(&PassAggregatePushdown, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   // Two aggregates now: a partial below the join, the final above.
   PlanStats stats = ComputePlanStats(result);
   EXPECT_EQ(stats.aggregates, 2u) << PrintPlan(result);
   // Reapplication is guarded.
   bool changed_again = false;
-  PassAggregatePushdown(result, Full(), &changed_again);
+  RunPass(&PassAggregatePushdown, result, Full(), &changed_again);
   EXPECT_FALSE(changed_again);
 }
 
@@ -553,7 +565,7 @@ TEST(EagerAggregationTest, NotAppliedWhenArgsUseAugmenter) {
                      {{Agg(AggKind::kCount, Col("d.attr")), "n"}})
           .Build();
   bool changed = false;
-  PassAggregatePushdown(plan, Full(), &changed);
+  RunPass(&PassAggregatePushdown, plan, Full(), &changed);
   EXPECT_FALSE(changed);
 }
 
@@ -618,7 +630,7 @@ TEST(JoinOrderTest, ReordersByEstimatedSize) {
   OptimizerConfig config = Full();
   config.stats_catalog = &catalog;
   bool changed = false;
-  PlanRef result = PassJoinOrder(plan, config, &changed);
+  PlanRef result = RunPass(&PassJoinOrder, plan, config, &changed);
   EXPECT_TRUE(changed);
   ASSERT_EQ(result->kind(), OpKind::kProject);
   const auto& join = static_cast<const JoinOp&>(*result->child(0));
@@ -628,7 +640,7 @@ TEST(JoinOrderTest, ReordersByEstimatedSize) {
   EXPECT_EQ(result->OutputNames(), plan->OutputNames());
   // Idempotent.
   bool changed_again = false;
-  PassJoinOrder(result, config, &changed_again);
+  RunPass(&PassJoinOrder, result, config, &changed_again);
   EXPECT_FALSE(changed_again);
 }
 
@@ -644,7 +656,7 @@ TEST(JoinOrderTest, LeftOuterAndDeclaredJoinsUntouched) {
   OptimizerConfig config = Full();
   config.stats_catalog = &catalog;
   bool changed = false;
-  PassJoinOrder(loj, config, &changed);
+  RunPass(&PassJoinOrder, loj, config, &changed);
   EXPECT_FALSE(changed);
   PlanRef declared = PlanBuilder::ScanSchema(Fact(), "f")
                          .Join(PlanBuilder::ScanSchema(Dim(), "d"),
@@ -653,7 +665,7 @@ TEST(JoinOrderTest, LeftOuterAndDeclaredJoinsUntouched) {
                                DeclaredCardinality::kExactOne)
                          .Build();
   changed = false;
-  PassJoinOrder(declared, config, &changed);
+  RunPass(&PassJoinOrder, declared, config, &changed);
   EXPECT_FALSE(changed);
 }
 
@@ -677,7 +689,7 @@ TEST(JoinOrderTest, ChainPrefersConnectedRelations) {
   OptimizerConfig config = Full();
   config.stats_catalog = &catalog;
   bool changed = false;
-  PlanRef result = PassJoinOrder(plan, config, &changed);
+  PlanRef result = RunPass(&PassJoinOrder, plan, config, &changed);
   EXPECT_TRUE(changed);
   // Greedy starts from tc (smallest); the only connected relation is tb;
   // ta joins last: ((c ⋈ b) ⋈ a). No cross joins appear.

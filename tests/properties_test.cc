@@ -1,10 +1,16 @@
 // Unit tests for the optimizer's property derivation: unique keys,
 // constant pinning, provenance, join-cardinality analysis — including the
-// capability gates that model the paper's weaker optimizers.
+// capability gates that model the paper's weaker optimizers — and the
+// per-optimization PropsCache that memoizes it.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "engine/database.h"
 #include "optimizer/properties.h"
 #include "plan/plan_builder.h"
+#include "vdm/jeib.h"
+#include "workload/s4.h"
 
 namespace vdm {
 namespace {
@@ -379,6 +385,52 @@ TEST(UnionPropertiesTest, LogicalTableOriginAgreement) {
   EXPECT_EQ(props.origins.at("k").table, "document");
   EXPECT_EQ(props.origins.at("k").column, "k");
   EXPECT_EQ(props.origins.at("k").source_id, plan->id());
+}
+
+// WithChildren keeps a node's id while replacing its children, so a cache
+// keyed by id() would hand the rebuilt node the old subtree's facts.
+TEST(PropsCacheTest, KeyedByNodeIdentityNotId) {
+  // (l_orderkey, l_linenumber) is the key; pinning l_linenumber leaves
+  // l_orderkey unique.
+  PlanRef pinned =
+      PlanBuilder::ScanSchema(Lineitem(), "l")
+          .Filter(Eq(Col("l.l_linenumber"), LitInt(1)))
+          .ProjectColumns({"l.l_orderkey", "l.l_qty"}, {"orderkey", "qty"})
+          .Build();
+  ASSERT_EQ(pinned->child(0)->kind(), OpKind::kFilter);
+  PlanRef unpinned = pinned->WithChildren({pinned->child(0)->child(0)});
+  ASSERT_EQ(unpinned->id(), pinned->id());
+
+  PropsCache cache(DerivationConfig{});
+  EXPECT_TRUE(cache.Props(pinned).HasKey({"orderkey"}));
+  EXPECT_FALSE(cache.Props(unpinned).HasKey({"orderkey"}));
+  EXPECT_TRUE(cache.Inferred(pinned).UniqueOn({"orderkey"}));
+  EXPECT_FALSE(cache.Inferred(unpinned).UniqueOn({"orderkey"}));
+  // The rebuilt node's facts are the ones a fresh derivation gives.
+  EXPECT_EQ(cache.Props(unpinned).ToString(),
+            DeriveProps(unpinned, DerivationConfig{}).ToString());
+}
+
+TEST(PropsCacheTest, OneEntryPerDistinctJeibNode) {
+  Database db;
+  ASSERT_TRUE(CreateS4Schema(&db).ok());
+  ASSERT_TRUE(BuildJournalEntryItemBrowser(&db).ok());
+  Result<PlanRef> root = db.BindQuery("select * from journalentryitembrowser");
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  std::set<const LogicalOp*> nodes;
+  VisitPlan(*root, [&](const PlanRef& node) { nodes.insert(node.get()); });
+
+  PropsCache cache(DerivationConfig{});
+  cache.Props(*root);
+  cache.Inferred(*root);
+  EXPECT_EQ(cache.size(), nodes.size());
+  EXPECT_EQ(cache.engine().size(), nodes.size());
+  // Deriving again (or any subtree) adds nothing.
+  cache.Props(*root);
+  cache.Props((*root)->child(0));
+  cache.Inferred(*root);
+  EXPECT_EQ(cache.size(), nodes.size());
+  EXPECT_EQ(cache.engine().size(), nodes.size());
 }
 
 }  // namespace
