@@ -1,6 +1,6 @@
 // Golden-plan regression tests: the optimized plan of every paper
 // micro-query (Fig. 5 UAJ, Fig. 6 paging, Fig. 10 ASJ, Fig. 12
-// UNION ALL + UAJ) and of three ad-hoc JournalEntryItemBrowser shapes
+// UNION ALL + UAJ) and of six ad-hoc JournalEntryItemBrowser shapes
 // (Figs. 3/4) is locked, per optimizer profile, against checked-in
 // snapshots under tests/golden/. Any rewrite-behavior change shows up as
 // a readable plan diff in the test log.
@@ -183,6 +183,25 @@ TEST_F(JeibGoldenPlanTest, BudatRangeProjection) {
               "select racct, partnername, hsl, budat from "
               "journalentryitembrowser where budat >= date '2021-03-01' and "
               "budat < date '2021-03-03'");
+}
+
+TEST_F(JeibGoldenPlanTest, GroupedSumWithoutCompanyFilter) {
+  CheckGolden("jeib_grouped_sum",
+              "select gjahr, partnername, sum(hsl) as s from "
+              "journalentryitembrowser group by gjahr, partnername");
+}
+
+TEST_F(JeibGoldenPlanTest, EightFieldPage) {
+  CheckGolden("jeib_eight_field_page",
+              "select belnr, docln, racct, companyname, customername, "
+              "suppliername, costcentername, chain3name_0 from "
+              "journalentryitembrowser limit 1000 offset 4000");
+}
+
+TEST_F(JeibGoldenPlanTest, HslRangeProjection) {
+  CheckGolden("jeib_hsl_range",
+              "select belnr, glaccountname, profitcentername, hsl from "
+              "journalentryitembrowser where hsl >= 1200 and hsl < 1320");
 }
 
 }  // namespace
