@@ -54,7 +54,7 @@ struct ViewAudit {
   const CatalogAuditOptions* options = nullptr;
   std::string view;
   PlanRef plan;
-  PropsCache* props = nullptr;
+  InferenceEngine* engine = nullptr;
   std::vector<AuditFinding>* findings = nullptr;
   std::set<std::string> seen;  // fingerprints emitted for this view
 
@@ -102,7 +102,7 @@ void CheckRemovableJoins(ViewAudit& a) {
   WalkPlan(a.plan, [&](const PlanRef& node) {
     if (node->kind() != OpKind::kJoin) return;
     auto join = std::static_pointer_cast<const JoinOp>(node);
-    PlanRef replacement = TryEliminateGeneralSelfJoin(join, *a.props);
+    PlanRef replacement = TryEliminateGeneralSelfJoin(join, *a.engine);
     if (!replacement) return;
     std::optional<SimpleRelation> rel = ExtractSimpleRelation(join->right());
     std::string table = rel.has_value() ? ToLower(rel->scan->table_name())
@@ -134,7 +134,7 @@ void CheckDeclaredCardinalities(ViewAudit& a) {
     const char* card_name =
         card == DeclaredCardinality::kExactOne ? "exact-one" : "at-most-one";
     std::string cond = join.condition() ? join.condition()->ToString() : "";
-    const InferredProps& right = a.props->Inferred(join.right());
+    const InferredProps& right = a.engine->Infer(join.right());
 
     if (right.empty_relation) {
       if (card == DeclaredCardinality::kExactOne) {
@@ -148,30 +148,8 @@ void CheckDeclaredCardinalities(ViewAudit& a) {
       return;
     }
 
-    // Classify cross-side equalities by output-name membership.
-    std::vector<std::string> ln = join.left()->OutputNames();
-    std::vector<std::string> rn = join.right()->OutputNames();
-    std::set<std::string> left_set(ln.begin(), ln.end());
-    std::set<std::string> right_set(rn.begin(), rn.end());
-    std::vector<std::string> left_join_cols;
-    bool any_cross = false;
-    for (const ExprRef& conjunct : SplitConjuncts(join.condition())) {
-      std::optional<ColumnPair> pair = MatchColumnEqColumn(conjunct);
-      if (!pair.has_value()) continue;
-      std::string l, r;
-      if (left_set.count(pair->left) > 0 && right_set.count(pair->right) > 0) {
-        l = pair->left;
-      } else if (left_set.count(pair->right) > 0 &&
-                 right_set.count(pair->left) > 0) {
-        l = pair->right;
-      } else {
-        continue;
-      }
-      any_cross = true;
-      left_join_cols.push_back(l);
-    }
-
-    if (!any_cross && !right.at_most_one_row) {
+    const JoinAnalysis analysis = a.engine->AnalyzeJoin(join);
+    if (analysis.equi_pairs.empty() && !right.at_most_one_row) {
       a.Emit(kRuleContradictedCardinality, AuditSeverity::kWarning,
              StrFormat("join (on %s) declares %s cardinality, but no join "
                        "equality restricts the right side and it is not "
@@ -182,8 +160,8 @@ void CheckDeclaredCardinalities(ViewAudit& a) {
     }
 
     if (card == DeclaredCardinality::kExactOne) {
-      const InferredProps& left = a.props->Inferred(join.left());
-      for (const std::string& l : left_join_cols) {
+      const InferredProps& left = a.engine->Infer(join.left());
+      for (const auto& [l, r] : analysis.equi_pairs) {
         if (left.IsNotNull(l)) continue;
         a.Emit(kRuleContradictedCardinality, AuditSeverity::kWarning,
                StrFormat("join (on %s) declares exact-one cardinality, but "
@@ -317,20 +295,20 @@ void CheckDecimalNarrowing(ViewAudit& a) {
     switch (node->kind()) {
       case OpKind::kFilter:
         exprs.push_back(static_cast<const FilterOp&>(*node).predicate());
-        scopes.push_back(&a.props->Inferred(node->child(0)));
+        scopes.push_back(&a.engine->Infer(node->child(0)));
         break;
       case OpKind::kProject:
         for (const ProjectOp::Item& item :
              static_cast<const ProjectOp&>(*node).items()) {
           exprs.push_back(item.expr);
         }
-        scopes.push_back(&a.props->Inferred(node->child(0)));
+        scopes.push_back(&a.engine->Infer(node->child(0)));
         break;
       case OpKind::kJoin: {
         const auto& join = static_cast<const JoinOp&>(*node);
         exprs.push_back(join.condition());
-        scopes.push_back(&a.props->Inferred(join.left()));
-        scopes.push_back(&a.props->Inferred(join.right()));
+        scopes.push_back(&a.engine->Infer(join.left()));
+        scopes.push_back(&a.engine->Infer(join.right()));
         break;
       }
       case OpKind::kAggregate: {
@@ -341,7 +319,7 @@ void CheckDecimalNarrowing(ViewAudit& a) {
         for (const AggregateOp::AggItem& item : agg.aggregates()) {
           exprs.push_back(item.expr);
         }
-        scopes.push_back(&a.props->Inferred(node->child(0)));
+        scopes.push_back(&a.engine->Infer(node->child(0)));
         break;
       }
       case OpKind::kSort:
@@ -349,7 +327,7 @@ void CheckDecimalNarrowing(ViewAudit& a) {
              static_cast<const SortOp&>(*node).keys()) {
           exprs.push_back(key.expr);
         }
-        scopes.push_back(&a.props->Inferred(node->child(0)));
+        scopes.push_back(&a.engine->Infer(node->child(0)));
         break;
       default:
         return;
@@ -361,7 +339,7 @@ void CheckDecimalNarrowing(ViewAudit& a) {
 // --- dead-view --------------------------------------------------------------
 
 void CheckDeadView(ViewAudit& a) {
-  if (!a.props->Inferred(a.plan).empty_relation) return;
+  if (!a.engine->Infer(a.plan).empty_relation) return;
   a.Emit(kRuleDeadView, AuditSeverity::kWarning,
          "view is statically empty (contradictory or always-false "
          "predicates): every query against it returns zero rows",
@@ -470,17 +448,6 @@ std::string CatalogAuditReport::ToString() const {
 
 Result<CatalogAuditReport> AuditCatalog(const Catalog& catalog,
                                         const CatalogAuditOptions& options) {
-  // The removable-join probe runs the optimizer's own rule under the
-  // audit's inference gates.
-  DerivationConfig derivation;
-  derivation.base_table_keys = options.infer.base_table_keys;
-  derivation.groupby_keys = options.infer.groupby_keys;
-  derivation.const_pinning = options.infer.const_pinning;
-  derivation.keys_through_joins = options.infer.keys_through_joins;
-  derivation.keys_through_order_limit = options.infer.keys_through_order_limit;
-  derivation.keys_through_union_all = options.infer.keys_through_union_all;
-  derivation.trust_declared_cardinality =
-      options.infer.trust_declared_cardinality;
   CatalogAuditReport report;
   for (const std::string& name : catalog.ViewNames()) {
     const ViewDef* view = catalog.FindView(name);
@@ -491,13 +458,15 @@ Result<CatalogAuditReport> AuditCatalog(const Catalog& catalog,
       continue;
     }
     report.views_audited++;
-    PropsCache props(derivation);
+    // The removable-join probe runs the optimizer's own rule under the
+    // audit's inference gates.
+    InferenceEngine engine(options.infer);
     ViewAudit audit;
     audit.catalog = &catalog;
     audit.options = &options;
     audit.view = name;
     audit.plan = *bound;
-    audit.props = &props;
+    audit.engine = &engine;
     audit.findings = &report.findings;
     CheckRemovableJoins(audit);
     CheckDeclaredCardinalities(audit);

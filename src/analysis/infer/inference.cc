@@ -620,6 +620,117 @@ InferredProps InferUnionAll(const UnionAllOp& u,
   return props;
 }
 
+/// AJ 1a: an inner equi-join whose left columns all originate from one
+/// scan declaring a NOT NULL foreign key onto the right scan's table, with
+/// the pairs matching the key column for column, finds exactly one match.
+bool ForeignKeyExactlyOne(const JoinOp& join, const JoinAnalysis& analysis,
+                          const InferredProps& left,
+                          const InferredProps& right) {
+  if (analysis.equi_pairs.empty() || join.right()->kind() != OpKind::kScan) {
+    return false;
+  }
+  const auto& right_scan = static_cast<const ScanOp&>(*join.right());
+  uint64_t left_source = 0;
+  std::vector<std::string> fk_cols, ref_cols;
+  for (const auto& [l, r] : analysis.equi_pairs) {
+    const ValueSource* lo = left.Origin(l);
+    const ValueSource* ro = right.Origin(r);
+    if (lo == nullptr || ro == nullptr) return false;
+    if (left_source != 0 && left_source != lo->source_id) return false;
+    left_source = lo->source_id;
+    fk_cols.push_back(lo->column);
+    ref_cols.push_back(ro->column);
+  }
+  std::shared_ptr<const ScanOp> left_scan =
+      FindScanById(join.left(), left_source);
+  if (!left_scan) return false;
+  const TableSchema& schema = left_scan->table_schema();
+  for (const ForeignKeyDef& fk : schema.foreign_keys()) {
+    if (!EqualsIgnoreCase(fk.referenced_table, right_scan.table_name()) ||
+        fk.columns.size() != fk_cols.size()) {
+      continue;
+    }
+    // Match columns as unordered pairs.
+    bool all_match = true;
+    for (size_t i = 0; i < fk_cols.size() && all_match; ++i) {
+      bool found = false;
+      for (size_t j = 0; j < fk.columns.size(); ++j) {
+        if (EqualsIgnoreCase(fk.columns[j], fk_cols[i]) &&
+            EqualsIgnoreCase(fk.referenced_columns[j], ref_cols[i])) {
+          found = true;
+          break;
+        }
+      }
+      all_match = found;
+    }
+    // FK columns must be NOT NULL for a guaranteed match.
+    for (size_t i = 0; i < fk.columns.size() && all_match; ++i) {
+      int idx = schema.FindColumn(fk.columns[i]);
+      all_match = idx >= 0 && !schema.column(static_cast<size_t>(idx)).nullable;
+    }
+    if (all_match) return true;
+  }
+  return false;
+}
+
+/// Classifies the join condition and decides the right side's match
+/// cardinality from the children's properties (paper §4.2).
+JoinAnalysis AnalyzeJoinProps(const JoinOp& join, const InferredProps& left,
+                              const InferredProps& right,
+                              const InferOptions& options) {
+  JoinAnalysis analysis;
+  std::vector<std::string> left_names = join.left()->OutputNames();
+  std::vector<std::string> right_names = join.right()->OutputNames();
+  std::set<std::string> left_set(left_names.begin(), left_names.end());
+  std::set<std::string> right_set(right_names.begin(), right_names.end());
+  std::set<std::string> covered;  // equated or pinned right columns
+  for (const auto& [col, val] : right.constants) covered.insert(col);
+  for (const ExprRef& conjunct : SplitConjuncts(join.condition())) {
+    if (IsAlwaysTrue(conjunct)) continue;
+    std::optional<ColumnPair> pair = MatchColumnEqColumn(conjunct);
+    if (pair.has_value()) {
+      if (left_set.count(pair->left) && right_set.count(pair->right)) {
+        analysis.equi_pairs.emplace_back(pair->left, pair->right);
+        covered.insert(pair->right);
+      } else if (left_set.count(pair->right) && right_set.count(pair->left)) {
+        analysis.equi_pairs.emplace_back(pair->right, pair->left);
+        covered.insert(pair->left);
+      } else {
+        analysis.pure_equi = false;
+      }
+      continue;
+    }
+    std::optional<ColumnConstant> cc = MatchColumnEqConstant(conjunct);
+    if (cc.has_value() && right_set.count(cc->column) &&
+        options.const_pinning) {
+      covered.insert(cc->column);
+      continue;
+    }
+    analysis.pure_equi = false;
+  }
+
+  // Declared cardinality (§7.3) — trusted, not enforced.
+  DeclaredCardinality declared = options.trust_declared_cardinality
+                                     ? join.declared_cardinality()
+                                     : DeclaredCardinality::kNone;
+  analysis.right_exactly_one = declared == DeclaredCardinality::kExactOne;
+  // AJ 2b: an empty augmenter gives zero matches; AJ 2a: the equated and
+  // pinned right columns cover a unique set.
+  analysis.right_at_most_one = declared != DeclaredCardinality::kNone ||
+                               right.empty_relation ||
+                               right.UniqueOn(covered);
+
+  bool left_outer = join.join_type() == JoinType::kLeftOuter;
+  if (!analysis.right_exactly_one && !left_outer && analysis.pure_equi &&
+      analysis.right_at_most_one) {
+    analysis.right_exactly_one =
+        ForeignKeyExactlyOne(join, analysis, left, right);
+  }
+  analysis.purely_augmenting =
+      left_outer ? analysis.right_at_most_one : analysis.right_exactly_one;
+  return analysis;
+}
+
 }  // namespace
 
 bool InferredProps::UniqueOn(const std::set<std::string>& columns) const {
@@ -669,6 +780,15 @@ const Value* InferredProps::PinOf(uint64_t source_id,
   if (it == source_pins.end()) return nullptr;
   auto pit = it->second.find(base_column);
   return pit == it->second.end() ? nullptr : &pit->second;
+}
+
+const ValueSource* InferredProps::Origin(const std::string& column) const {
+  auto it = sources.find(column);
+  if (it == sources.end()) return nullptr;
+  for (const ValueSource& src : it->second) {
+    if (!src.via_equality && !src.null_extended) return &src;
+  }
+  return nullptr;
 }
 
 void InferredProps::AddUniqueSet(std::vector<std::string> columns) {
@@ -749,6 +869,12 @@ const InferredProps& InferenceEngine::Infer(const PlanRef& plan) {
   InferredProps props = Compute(plan);
   return cache_.emplace(plan.get(), Entry{plan, std::move(props)})
       .first->second.props;
+}
+
+JoinAnalysis InferenceEngine::AnalyzeJoin(const JoinOp& join) {
+  const InferredProps& left = Infer(join.left());
+  const InferredProps& right = Infer(join.right());
+  return AnalyzeJoinProps(join, left, right, options_);
 }
 
 InferredProps InferenceEngine::Compute(const PlanRef& plan) {
@@ -834,51 +960,7 @@ InferredProps InferenceEngine::Compute(const PlanRef& plan) {
         props.AddFd(fd.determinants, fd.dependents);
       }
 
-      // Join-condition analysis (equi pairs + cardinality).
-      std::vector<std::string> left_names = join.left()->OutputNames();
-      std::vector<std::string> right_names = join.right()->OutputNames();
-      std::set<std::string> left_set(left_names.begin(), left_names.end());
-      std::set<std::string> right_set(right_names.begin(), right_names.end());
-      std::vector<std::pair<std::string, std::string>> equi_pairs;
-      std::set<std::string> equated_right;
-      std::set<std::string> pinned_right;
-      bool pure_equi = true;
-      for (const auto& [col, val] : right.constants) pinned_right.insert(col);
-      for (const ExprRef& conjunct : SplitConjuncts(join.condition())) {
-        if (IsAlwaysTrue(conjunct)) continue;
-        std::optional<ColumnPair> pair = MatchColumnEqColumn(conjunct);
-        if (pair.has_value()) {
-          if (left_set.count(pair->left) && right_set.count(pair->right)) {
-            equi_pairs.emplace_back(pair->left, pair->right);
-            equated_right.insert(pair->right);
-            continue;
-          }
-          if (left_set.count(pair->right) && right_set.count(pair->left)) {
-            equi_pairs.emplace_back(pair->right, pair->left);
-            equated_right.insert(pair->left);
-            continue;
-          }
-          pure_equi = false;
-          continue;
-        }
-        std::optional<ColumnConstant> cc = MatchColumnEqConstant(conjunct);
-        if (cc.has_value() && right_set.count(cc->column) &&
-            options_.const_pinning) {
-          pinned_right.insert(cc->column);
-          continue;
-        }
-        pure_equi = false;
-      }
-      bool right_at_most_one =
-          right.empty_relation ||
-          (options_.trust_declared_cardinality &&
-           (join.declared_cardinality() == DeclaredCardinality::kAtMostOne ||
-            join.declared_cardinality() == DeclaredCardinality::kExactOne));
-      if (!right_at_most_one) {
-        std::set<std::string> covered = equated_right;
-        covered.insert(pinned_right.begin(), pinned_right.end());
-        right_at_most_one = right.UniqueOn(covered);
-      }
+      JoinAnalysis analysis = AnalyzeJoinProps(join, left, right, options_);
 
       // An inner (or trusted exact-one) condition filters the output like
       // a WHERE: pins, NULL rejection, and equality provenance apply.
@@ -891,18 +973,20 @@ InferredProps InferenceEngine::Compute(const PlanRef& plan) {
       // determine every right output (matched rows share the single
       // right row; on a null-extending join, agreeing NULL join columns
       // mean both rows are unmatched, i.e. all-NULL right side).
-      if (right_at_most_one && pure_equi && !equi_pairs.empty()) {
+      if (analysis.right_at_most_one && analysis.pure_equi &&
+          !analysis.equi_pairs.empty()) {
         std::vector<std::string> dets;
-        for (const auto& [l, r] : equi_pairs) dets.push_back(l);
-        props.AddFd(std::move(dets), right_names);
+        for (const auto& [l, r] : analysis.equi_pairs) dets.push_back(l);
+        props.AddFd(std::move(dets), join.right()->OutputNames());
       }
 
-      props.at_most_one_row = left.at_most_one_row &&
-                              (right.at_most_one_row || right_at_most_one);
+      props.at_most_one_row =
+          left.at_most_one_row &&
+          (right.at_most_one_row || analysis.right_at_most_one);
 
       // Unique sets.
       if (options_.keys_through_joins) {
-        if (right_at_most_one) {
+        if (analysis.right_at_most_one) {
           for (const std::vector<std::string>& key : left.unique_sets) {
             props.AddUniqueSet(key);
           }
@@ -911,7 +995,9 @@ InferredProps InferenceEngine::Compute(const PlanRef& plan) {
           // Flipped: the left side matches at most once against right
           // unique sets covered by equated/pinned left columns.
           std::set<std::string> equated_left;
-          for (const auto& [l, r] : equi_pairs) equated_left.insert(l);
+          for (const auto& [l, r] : analysis.equi_pairs) {
+            equated_left.insert(l);
+          }
           for (const auto& [col, val] : left.constants) {
             equated_left.insert(col);
           }

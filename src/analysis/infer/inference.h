@@ -13,10 +13,12 @@
 //    value comes from, including equality-derived provenance ("a.k = d.ref
 //    and d.ref = b.k" links b's join column back to a's scan).
 //
-// The optimizer's general self-join elimination (rule_selfjoin_general.cc),
-// the ASJ rule's key-coverage check, and the vdmlint catalog audit
-// (analysis/catalog_audit.h) all consult this one engine, so the rewrite
-// rules and the static findings can never disagree about what is provable.
+// It is the only property-derivation engine: every optimizer rule (UAJ
+// pruning, limit pushdown, eager aggregation, DISTINCT elimination, ASJ and
+// general self-join elimination), the join reorderer's cardinality
+// estimator, view lint, the vdmlint catalog audit (analysis/catalog_audit.h)
+// and the RewriteAuditor's key cross-check read it, so the rewrite rules and
+// the static findings can never disagree about what is provable.
 //
 // Layering: depends only on plan/expr/catalog/types/common, so the
 // optimizer can link against it (vdm_infer sits *below* vdm_optimizer).
@@ -29,6 +31,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -37,16 +40,27 @@
 
 namespace vdm {
 
-/// Capability gates, mirroring optimizer DerivationConfig field for field
-/// (convert with ToInferOptions in optimizer/properties.h). Switching a
-/// flag off reproduces the corresponding weaker system of Tables 1–4.
+/// Which derivation capabilities are active. Each flag corresponds to a
+/// capability the paper probes with one of its micro-queries; switching
+/// flags off reproduces the weaker optimizers of Tables 1–4 (optimizer.h
+/// SystemProfile). The optimizer, the RewriteAuditor and the catalog audit
+/// all carry this one struct.
 struct InferOptions {
+  /// Derive keys from base-table unique constraints (UAJ 1). All evaluated
+  /// systems except "System X" do this.
   bool base_table_keys = true;
+  /// Derive a key from GROUP BY columns (UAJ 2 / AJ 2a-2).
   bool groupby_keys = true;
+  /// Reduce composite keys by filter-pinned constants (UAJ 3 / AJ 2a-3).
   bool const_pinning = true;
+  /// Propagate keys through join operators (UAJ 1a / 3a).
   bool keys_through_joins = true;
+  /// Propagate keys through ORDER BY / LIMIT (UAJ 1b).
   bool keys_through_order_limit = true;
+  /// Derive keys through UNION ALL via disjoint branches or branch ids
+  /// (Fig. 12). Only SAP HANA does this.
   bool keys_through_union_all = true;
+  /// Honor declared (unenforced) join cardinalities and unique keys (§7.3).
   bool trust_declared_cardinality = true;
 };
 
@@ -108,6 +122,11 @@ struct InferredProps {
                                 const std::string& table,
                                 const std::string& base_column) const;
   const Value* PinOf(uint64_t source_id, const std::string& base_column) const;
+  /// The origin of `column`: its first source that is neither
+  /// equality-derived nor null-extended, i.e. a pass-through path from a
+  /// scan (or a table-like UNION ALL) whose value every row carries.
+  /// nullptr if none. Drives ASJ rewiring and predicate collection.
+  const ValueSource* Origin(const std::string& column) const;
 
   void AddUniqueSet(std::vector<std::string> columns);
   void AddFd(std::vector<std::string> determinants,
@@ -117,17 +136,41 @@ struct InferredProps {
   std::string ToString() const;
 };
 
+/// Join-cardinality analysis of a JoinOp (paper §4.2).
+struct JoinAnalysis {
+  /// Every left row matches at most one right row.
+  bool right_at_most_one = false;
+  /// Every left row matches exactly one right row (FK or declared).
+  bool right_exactly_one = false;
+  /// Purely augmenting: LEFT OUTER + at-most-one (AJ 2), or INNER +
+  /// exactly-one (AJ 1). Such a join neither filters nor duplicates.
+  bool purely_augmenting = false;
+  /// Equi-join pairs (left output name, right output name).
+  std::vector<std::pair<std::string, std::string>> equi_pairs;
+  /// True if the condition consists solely of column=column equalities
+  /// (plus literal TRUE conjuncts and, with const_pinning, right-side
+  /// column=constant pins).
+  bool pure_equi = true;
+};
+
 /// Memoizing bottom-up derivation. Results are cached by node *identity*
 /// (the node's address, with the node pinned so the address cannot be
 /// reused), never by id(): WithChildren keeps the id while replacing the
 /// children, so an id-keyed entry could describe a different subtree. Plan
-/// nodes are immutable, so one engine may span any number of plan versions
-/// (the optimizer keeps one per OptimizeChecked call, see PropsCache).
-/// Returned references stay valid for the engine's lifetime.
+/// nodes are immutable, so one engine may span any number of plan versions:
+/// Optimizer::OptimizeChecked creates one per call and hands it to every
+/// pass, so each plan node is derived at most once per optimization;
+/// callers outside an optimization (view lint, catalog audit, the
+/// RewriteAuditor, tests) use a call-local one. Returned references stay
+/// valid for the engine's lifetime.
 class InferenceEngine {
  public:
   explicit InferenceEngine(InferOptions options = {});
   const InferredProps& Infer(const PlanRef& plan);
+  /// The join analysis of `join` over the derived properties of its
+  /// children. `join` itself is not derived or cached, so it may be a
+  /// hypothetical join outside any plan (rule_prune probes a flipped one).
+  JoinAnalysis AnalyzeJoin(const JoinOp& join);
   const InferOptions& options() const { return options_; }
   /// Number of distinct nodes derived so far.
   size_t size() const { return cache_.size(); }

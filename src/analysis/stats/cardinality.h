@@ -14,8 +14,8 @@
 //
 // The estimator is deliberately stateless across plans except for a
 // per-node memo keyed by node identity (as InferenceEngine's); build one
-// per catalog version. The join reorderer hands it the optimization's
-// shared InferenceEngine (optimizer/properties.h PropsCache).
+// per catalog version. The join reorderer hands it the InferenceEngine of
+// the enclosing optimization, the one every rewrite pass derives through.
 #ifndef VDMQO_ANALYSIS_STATS_CARDINALITY_H_
 #define VDMQO_ANALYSIS_STATS_CARDINALITY_H_
 
@@ -72,8 +72,8 @@ double EstimateEquiJoinRows(double left_rows, double right_rows,
 class CardinalityEstimator {
  public:
   /// Unique-key / at-most-one-row facts come from the static inference
-  /// lattice of `engine` (not owned; its InferOptions mirror the optimizer
-  /// profile). nullptr skips the lattice: no inference walk, as the
+  /// lattice of `engine` (not owned; created with the optimizer profile's
+  /// InferOptions). nullptr skips the lattice: no inference walk, as the
   /// per-query executor annotations want.
   CardinalityEstimator(const Catalog* catalog, CardinalityOptions options,
                        InferenceEngine* engine);

@@ -133,7 +133,7 @@ PlanRef Optimizer::Optimize(const PlanRef& plan) const {
 
 Result<PlanRef> Optimizer::OptimizeChecked(const PlanRef& plan) const {
   using PassFn = PlanRef (*)(const PlanRef&, const OptimizerConfig&,
-                             PropsCache&, bool*);
+                             InferenceEngine&, bool*);
   struct PassDef {
     const char* name;
     bool enabled;
@@ -146,12 +146,12 @@ Result<PlanRef> Optimizer::OptimizeChecked(const PlanRef& plan) const {
   // conjuncts the reorderer grouped).
   const PassDef passes[] = {
       {"constant_folding", config_.constant_folding,
-       [](const PlanRef& plan, const OptimizerConfig& config, PropsCache&,
+       [](const PlanRef& plan, const OptimizerConfig& config, InferenceEngine&,
           bool* changed) {
          return PassConstantFolding(plan, config, changed);
        }},
       {"filter_pushdown", config_.filter_pushdown,
-       [](const PlanRef& plan, const OptimizerConfig& config, PropsCache&,
+       [](const PlanRef& plan, const OptimizerConfig& config, InferenceEngine&,
           bool* changed) {
          return PassFilterPushdown(plan, config, changed);
        }},
@@ -169,18 +169,17 @@ Result<PlanRef> Optimizer::OptimizeChecked(const PlanRef& plan) const {
   };
   const bool verify =
       config_.verify_rewrites && config_.verification_hook != nullptr;
-  // Every pass derives properties through this one cache, so each plan
+  // Every pass derives properties through this one engine, so each plan
   // node's properties are derived at most once per call. It dies with the
-  // call; the verification hook never sees it (the auditor derives its
-  // own, independently).
-  PropsCache props(config_.derivation);
+  // call; the verification hook never sees it (the auditor runs its own).
+  InferenceEngine engine(config_.derivation);
   // Post-fixpoint finishing step: cost-based join ordering (once, audited
   // like any pass), then the limit-hint annotation.
   auto finish = [&](PlanRef done) -> Result<PlanRef> {
     if (config_.join_reordering) {
       bool fired = false;
       PlanRef before = done;
-      done = PassJoinOrder(done, config_, props, &fired);
+      done = PassJoinOrder(done, config_, engine, &fired);
       if (fired) {
         if (config_.debug_corrupt_pass != nullptr &&
             std::string_view(config_.debug_corrupt_pass) == "join_order") {
@@ -207,7 +206,7 @@ Result<PlanRef> Optimizer::OptimizeChecked(const PlanRef& plan) const {
       if (!def.enabled) continue;
       bool fired = false;
       PlanRef before = current;
-      current = def.fn(current, config_, props, &fired);
+      current = def.fn(current, config_, engine, &fired);
       if (!fired) continue;
       changed = true;
       if (config_.debug_corrupt_pass != nullptr &&

@@ -10,9 +10,9 @@
 
 #include <string>
 
+#include "analysis/infer/inference.h"
 #include "catalog/catalog.h"
 #include "common/status.h"
-#include "optimizer/properties.h"
 #include "plan/logical_plan.h"
 
 namespace vdm {
@@ -39,7 +39,8 @@ struct OptimizerConfig {
 
   // --- UAJ elimination (§4, Table 1) ---
   bool uaj_elimination = true;
-  DerivationConfig derivation;
+  /// Derivation capabilities of the inference engine the passes share.
+  InferOptions derivation;
 
   // --- Limit pushdown across augmentation joins (§4.4, Table 2) ---
   bool limit_pushdown_over_aj = true;
@@ -132,9 +133,9 @@ class Optimizer {
 // ---------------------------------------------------------------------------
 // Individual passes, exposed for unit testing. Each returns the rewritten
 // plan and sets *changed when a rewrite fired. Passes that derive
-// relational properties read them from `props`, the PropsCache of the
+// relational properties read them from `engine`, the InferenceEngine of the
 // enclosing optimization (created with config.derivation); a caller running
-// one pass on its own passes a fresh cache.
+// one pass on its own passes a fresh engine.
 
 /// Folds literal expressions in filters/projections; removes always-true
 /// filters; marks/propagates always-false filters.
@@ -148,45 +149,45 @@ PlanRef PassFilterPushdown(const PlanRef& plan, const OptimizerConfig& config,
 /// Combined projection pruning and unused-augmentation-join elimination:
 /// a single top-down pass carrying the required-column set (§4.3).
 PlanRef PassPruneAndEliminate(const PlanRef& plan,
-                              const OptimizerConfig& config, PropsCache& props,
-                              bool* changed);
+                              const OptimizerConfig& config,
+                              InferenceEngine& engine, bool* changed);
 
 /// Augmentation self-join elimination (§5.3, §6.3).
 PlanRef PassAsjElimination(const PlanRef& plan, const OptimizerConfig& config,
-                           PropsCache& props, bool* changed);
+                           InferenceEngine& engine, bool* changed);
 
 /// General self-join elimination driven by the inference engine.
 PlanRef PassSelfJoinGeneral(const PlanRef& plan, const OptimizerConfig& config,
-                            PropsCache& props, bool* changed);
+                            InferenceEngine& engine, bool* changed);
 
 /// The single-join core of PassSelfJoinGeneral, exposed so the vdmlint
 /// catalog audit can probe exactly what the optimizer would remove (under
-/// the capability gates `props` was created with). Returns the replacement
+/// the capability gates `engine` was created with). Returns the replacement
 /// subtree, or nullptr if the join is not a provably removable self-join.
 PlanRef TryEliminateGeneralSelfJoin(const std::shared_ptr<const JoinOp>& join,
-                                    PropsCache& props);
+                                    InferenceEngine& engine);
 
 /// Limit pushdown across augmentation joins and projections (§4.4).
 PlanRef PassLimitPushdown(const PlanRef& plan, const OptimizerConfig& config,
-                          PropsCache& props, bool* changed);
+                          InferenceEngine& engine, bool* changed);
 
 /// allow_precision_loss rewrites + eager aggregation below augmentation
 /// joins (§7.1).
 PlanRef PassAggregatePushdown(const PlanRef& plan,
-                              const OptimizerConfig& config, PropsCache& props,
-                              bool* changed);
+                              const OptimizerConfig& config,
+                              InferenceEngine& engine, bool* changed);
 
 /// Cost-based join reordering (DESIGN.md §14): exhaustive DP over small
 /// flattened chains, greedy over large ones, driven by the stats-backed
 /// cardinality estimator. Chooses build sides too. Runs once after the
 /// fixpoint loop, not inside it.
 PlanRef PassJoinOrder(const PlanRef& plan, const OptimizerConfig& config,
-                      PropsCache& props, bool* changed);
+                      InferenceEngine& engine, bool* changed);
 
 /// Removes DISTINCT over inputs that are already duplicate-free.
 PlanRef PassDistinctElimination(const PlanRef& plan,
                                 const OptimizerConfig& config,
-                                PropsCache& props, bool* changed);
+                                InferenceEngine& engine, bool* changed);
 
 /// Final annotation step (not a rewrite pass): records each remaining
 /// LIMIT's row budget on the joins below it (JoinOp::limit_hint), so the

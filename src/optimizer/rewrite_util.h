@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "optimizer/properties.h"
+#include "analysis/infer/inference.h"
 #include "plan/logical_plan.h"
 
 namespace vdm {
@@ -22,8 +22,7 @@ bool ContainsNode(const PlanRef& plan, uint64_t id);
 /// through, un-null-extended, from the given source node, rewritten to
 /// bare base-column form (Fig. 10(c) subsumption input).
 void CollectScanPredicates(const PlanRef& plan, uint64_t source_id,
-                           PropsCache& props,
-                           std::vector<ExprRef>* out);
+                           InferenceEngine& engine, std::vector<ExprRef>* out);
 
 struct Exposure {
   PlanRef plan;
@@ -35,7 +34,7 @@ struct Exposure {
 /// DISTINCT on the path block exposure.
 std::optional<Exposure> ExposeColumns(const PlanRef& plan, uint64_t source_id,
                                       const std::vector<std::string>& base_cols,
-                                      PropsCache& props);
+                                      InferenceEngine& engine);
 
 }  // namespace vdm
 

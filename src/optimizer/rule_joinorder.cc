@@ -42,7 +42,6 @@
 #include "expr/expr.h"
 #include "expr/fold.h"
 #include "optimizer/optimizer.h"
-#include "optimizer/properties.h"
 
 namespace vdm {
 
@@ -418,7 +417,7 @@ std::vector<size_t> DpOrder(const ChainCtx& ctx, bool* complete) {
 }
 
 PlanRef Reorder(const PlanRef& plan, const OptimizerConfig& config,
-                PropsCache& props, bool under_limit, bool* changed);
+                InferenceEngine& engine, bool under_limit, bool* changed);
 
 /// Cumulative estimated cost of running the chain in `order` (the same
 /// per-step model Rebuild applies, including inner build-side swaps).
@@ -519,7 +518,7 @@ std::string TreeSignature(const PlanRef& plan) {
 }
 
 PlanRef ReorderChain(const std::shared_ptr<const JoinOp>& top,
-                     const OptimizerConfig& config, PropsCache& props,
+                     const OptimizerConfig& config, InferenceEngine& engine,
                      bool under_limit, bool* changed) {
   Chain chain;
   Flatten(top, &chain);
@@ -531,7 +530,7 @@ PlanRef ReorderChain(const std::shared_ptr<const JoinOp>& top,
   bool units_changed = false;
   for (Unit& unit : chain.units) {
     PlanRef transformed =
-        Reorder(unit.plan, config, props, false, &units_changed);
+        Reorder(unit.plan, config, engine, false, &units_changed);
     if (transformed != unit.plan) unit.plan = std::move(transformed);
   }
 
@@ -540,8 +539,7 @@ PlanRef ReorderChain(const std::shared_ptr<const JoinOp>& top,
   CardinalityOptions card_options;
   card_options.trust_declared_cardinality =
       config.derivation.trust_declared_cardinality;
-  CardinalityEstimator estimator(config.stats_catalog, card_options,
-                                 &props.engine());
+  CardinalityEstimator estimator(config.stats_catalog, card_options, &engine);
   ChainCtx ctx;
   ctx.estimator = &estimator;
   ctx.trust_declared = config.derivation.trust_declared_cardinality;
@@ -600,11 +598,11 @@ PlanRef ReorderChain(const std::shared_ptr<const JoinOp>& top,
 }
 
 PlanRef Reorder(const PlanRef& plan, const OptimizerConfig& config,
-                PropsCache& props, bool under_limit, bool* changed) {
+                InferenceEngine& engine, bool under_limit, bool* changed) {
   if (IsChainRoot(plan)) {
     PlanRef reordered =
         ReorderChain(std::static_pointer_cast<const JoinOp>(plan), config,
-                     props, under_limit, changed);
+                     engine, under_limit, changed);
     return reordered ? reordered : plan;
   }
   const bool propagates_limit = plan->kind() == OpKind::kLimit ||
@@ -616,7 +614,7 @@ PlanRef Reorder(const PlanRef& plan, const OptimizerConfig& config,
   bool any = false;
   for (const PlanRef& child : plan->children()) {
     PlanRef transformed =
-        Reorder(child, config, props, child_under_limit, changed);
+        Reorder(child, config, engine, child_under_limit, changed);
     any |= (transformed != child);
     children.push_back(std::move(transformed));
   }
@@ -626,9 +624,9 @@ PlanRef Reorder(const PlanRef& plan, const OptimizerConfig& config,
 }  // namespace
 
 PlanRef PassJoinOrder(const PlanRef& plan, const OptimizerConfig& config,
-                      PropsCache& props, bool* changed) {
+                      InferenceEngine& engine, bool* changed) {
   if (!config.join_reordering) return plan;
-  return Reorder(plan, config, props, /*under_limit=*/false, changed);
+  return Reorder(plan, config, engine, /*under_limit=*/false, changed);
 }
 
 }  // namespace vdm

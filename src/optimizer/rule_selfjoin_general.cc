@@ -68,9 +68,8 @@ struct Classified {
 
 /// Splits the join condition into the shapes the rule can reason about;
 /// nullopt on any conjunct it cannot classify (mixed non-equi etc.).
-std::optional<Classified> ClassifyCondition(
-    const JoinOp& join, const SimpleRelation& rel,
-    const InferredProps& left_props) {
+std::optional<Classified> ClassifyCondition(const JoinOp& join,
+                                            const SimpleRelation& rel) {
   Classified out;
   std::vector<std::string> left_names = join.left()->OutputNames();
   std::set<std::string> left_set(left_names.begin(), left_names.end());
@@ -141,7 +140,6 @@ std::optional<Classified> ClassifyCondition(
       out.left_preds.push_back(Eq(Col(l), Lit(lit->second)));
       // If the anchor side pins l to the same literal, this also extends
       // key coverage — handled below through left constants.
-      (void)left_props;
       continue;
     }
     auto bit = rel.out_to_base.find(r);
@@ -154,7 +152,7 @@ std::optional<Classified> ClassifyCondition(
 }  // namespace
 
 PlanRef TryEliminateGeneralSelfJoin(const std::shared_ptr<const JoinOp>& join,
-                                    PropsCache& props) {
+                                    InferenceEngine& engine) {
   // Case joins carry UNION ALL intent; they belong to the ASJ machinery.
   if (join->is_case_join()) return nullptr;
   bool left_outer = join->join_type() == JoinType::kLeftOuter;
@@ -163,10 +161,10 @@ PlanRef TryEliminateGeneralSelfJoin(const std::shared_ptr<const JoinOp>& join,
   std::optional<SimpleRelation> rel = ExtractSimpleRelation(join->right());
   if (!rel.has_value()) return nullptr;
   const std::string table = ToLower(rel->scan->table_name());
-  const InferOptions& iopts = props.engine().options();
-  const InferredProps& lp = props.Inferred(join->left());
+  const InferOptions& iopts = engine.options();
+  const InferredProps& lp = engine.Infer(join->left());
 
-  std::optional<Classified> cls = ClassifyCondition(*join, *rel, lp);
+  std::optional<Classified> cls = ClassifyCondition(*join, *rel);
   if (!cls.has_value()) return nullptr;
   if (cls->equi.empty() && cls->right_pins.empty()) return nullptr;
 
@@ -221,7 +219,7 @@ PlanRef TryEliminateGeneralSelfJoin(const std::shared_ptr<const JoinOp>& join,
     // Residual right predicates: those the anchor's own predicate stack
     // does not already imply must be re-applied (predicate union).
     std::vector<ExprRef> anchor_preds;
-    CollectScanPredicates(join->left(), anchor, props, &anchor_preds);
+    CollectScanPredicates(join->left(), anchor, engine, &anchor_preds);
     std::vector<ExprRef> residual;
     for (const ExprRef& pred : cls->right_preds) {
       if (!ConjunctsSubsume(anchor_preds, {pred})) residual.push_back(pred);
@@ -278,7 +276,7 @@ PlanRef TryEliminateGeneralSelfJoin(const std::shared_ptr<const JoinOp>& join,
     PlanRef new_left = join->left();
     if (!missing.empty()) {
       std::optional<Exposure> e =
-          ExposeColumns(join->left(), anchor, missing, props);
+          ExposeColumns(join->left(), anchor, missing, engine);
       if (!e.has_value()) continue;
       new_left = e->plan;
       for (const auto& [bc, name] : e->base_to_name) base_to_left[bc] = name;
@@ -363,12 +361,12 @@ PlanRef TryEliminateGeneralSelfJoin(const std::shared_ptr<const JoinOp>& join,
 }
 
 PlanRef PassSelfJoinGeneral(const PlanRef& plan, const OptimizerConfig& config,
-                            PropsCache& props, bool* changed) {
+                            InferenceEngine& engine, bool* changed) {
   if (!config.selfjoin_general) return plan;
   return TransformPlan(plan, [&](const PlanRef& node) -> PlanRef {
     if (node->kind() != OpKind::kJoin) return nullptr;
     auto join = std::static_pointer_cast<const JoinOp>(node);
-    PlanRef result = TryEliminateGeneralSelfJoin(join, props);
+    PlanRef result = TryEliminateGeneralSelfJoin(join, engine);
     if (result) {
       *changed = true;
       return result;

@@ -239,10 +239,12 @@ PlanRef PassFilterPushdown(const PlanRef& plan, const OptimizerConfig& config,
 
 PlanRef PassDistinctElimination(const PlanRef& plan,
                                 const OptimizerConfig& /*config*/,
-                                PropsCache& props, bool* changed) {
+                                InferenceEngine& engine, bool* changed) {
   return TransformPlan(plan, [&](const PlanRef& node) -> PlanRef {
     if (node->kind() != OpKind::kDistinct) return nullptr;
-    if (props.Props(node->child(0)).HasKey(node->child(0)->OutputNames())) {
+    std::vector<std::string> names = node->child(0)->OutputNames();
+    if (engine.Infer(node->child(0))
+            .UniqueOn(std::set<std::string>(names.begin(), names.end()))) {
       *changed = true;
       return node->child(0);
     }

@@ -34,13 +34,13 @@ TableSchema Dim() {
 OptimizerConfig Full() { return ConfigForProfile(SystemProfile::kHana); }
 
 using PropsPass = PlanRef (*)(const PlanRef&, const OptimizerConfig&,
-                              PropsCache&, bool*);
+                              InferenceEngine&, bool*);
 
-/// Runs one property-deriving pass on its own, with a call-local cache.
+/// Runs one property-deriving pass on its own, with a call-local engine.
 PlanRef RunPass(PropsPass pass, const PlanRef& plan,
                 const OptimizerConfig& config, bool* changed) {
-  PropsCache props(config.derivation);
-  return pass(plan, config, props, changed);
+  InferenceEngine engine(config.derivation);
+  return pass(plan, config, engine, changed);
 }
 
 // --- filter pushdown --------------------------------------------------------

@@ -11,6 +11,7 @@
 #   tools/ci.sh server       # wire server: ASan+TSan conformance, fuzz leg,
 #                            # loopback vdmload smoke
 #   tools/ci.sh lint         # vdmlint catalog audit (baseline-gated) + tidy
+#   tools/ci.sh htapbench    # benchmark self-tests + answer-checked smoke
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -203,6 +204,24 @@ run_lint() {
   fi
 }
 
+run_htapbench() {
+  # The HTAP benchmark's answer checks (htapbench/README.md): its self-tests,
+  # then a 5-second traced vdm_adhoc run whose result line (the last line
+  # of stdout) must report every checked answer correct. run.py builds the
+  # benchmark from this checkout under .bench_build/.
+  echo "== htapbench: self-tests =="
+  python3 -m unittest discover -s htapbench/tests
+  echo "== htapbench: 5 s vdm_adhoc smoke, traced =="
+  local result
+  result="$(python3 htapbench/run.py --workload vdm_adhoc --seed 1 \
+      --seconds 5 --trace 1 | tail -n 1)"
+  echo "${result}"
+  python3 -c 'import json, sys
+sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
+      "${result}"
+  echo "== htapbench: every answer correct =="
+}
+
 case "${MODE}" in
   address|undefined)
     run_sanitizer "${MODE}"
@@ -222,6 +241,9 @@ case "${MODE}" in
   lint)
     run_lint
     ;;
+  htapbench)
+    run_htapbench
+    ;;
   all)
     run_sanitizer address
     run_sanitizer undefined
@@ -230,9 +252,10 @@ case "${MODE}" in
     run_fuzz
     run_server
     run_lint
+    run_htapbench
     ;;
   *)
-    echo "usage: $0 [address|undefined|thread|fault|fuzz|server|lint|all]" >&2
+    echo "usage: $0 [address|undefined|thread|fault|fuzz|server|lint|htapbench|all]" >&2
     exit 2
     ;;
 esac
